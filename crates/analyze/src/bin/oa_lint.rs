@@ -1,24 +1,24 @@
-//! Workspace lint driver, v4: two engines, SARIF output, diff-aware
-//! baseline gating, and wire-schema conformance.
+//! Workspace lint driver: one analysis engine, SARIF output,
+//! diff-aware baseline gating, and wire-schema conformance.
 //!
 //! Usage:
 //!
 //! ```text
-//! oa_lint [--engine=ast|token] [--list-rules] [--timings]
+//! oa_lint [--list-rules] [--timings]
 //!         [--sarif=<path>] [--baseline=<path>] [--write-baseline=<path>]
 //!         [--explain-discharges] [<workspace-root>]
 //! oa_lint callgraph [--dot] [--check] [<workspace-root>]
 //! oa_lint wire [--check] [<workspace-root>]
 //! ```
 //!
-//! The default `--engine=ast` parses every first-party file, builds the
-//! workspace call graph, and runs the interprocedural analyses (panic
-//! reachability with value-range discharge, lock-order cycles,
-//! determinism taint, the effect rules `nonblocking_event_loop` /
-//! `alloc_free_kernel` / `lock_across_blocking`, and the wire-schema
-//! conformance rules `wire_*` against `crates/serve/protocol.spec`)
-//! alongside the token-shaped rules. `--engine=token` is the original
-//! per-file scanner, kept as a fallback and for A/B comparison.
+//! The lint run parses every first-party file, builds the workspace
+//! call graph, settles the summary fixpoint and runs the
+//! whole-program rules (panic reachability with value-range
+//! discharge, lock-order cycles, determinism taint, the effect rules
+//! `nonblocking_event_loop` / `alloc_free_kernel` /
+//! `lock_across_blocking`, and the wire-schema conformance rules
+//! `wire_*` against `crates/serve/protocol.spec`) alongside the
+//! token-shaped rules.
 //!
 //! * `--sarif=<path>` additionally writes the run as a SARIF 2.1.0 log.
 //! * `--baseline=<path>` switches to diff-aware mode: only findings
@@ -26,7 +26,7 @@
 //!   gate the exit code; pre-existing debt is counted but suppressed.
 //! * `--write-baseline=<path>` writes the current fingerprints as the
 //!   new snapshot (review the diff before committing it).
-//! * `--timings` appends `engine=… files=… fns=… edges=… discharged=…
+//! * `--timings` appends `files=… fns=… edges=… discharged=…
 //!   parse_ms=… callgraph_ms=… ranges_ms=… effects_ms=… wire_ms=…
 //!   elapsed_ms=…` to the stderr summary, for
 //!   `scripts/bench_smoke.sh`.
@@ -52,8 +52,8 @@
 //! otherwise.
 
 use oa_analyze::callgraph::{CallGraph, Workspace};
-use oa_analyze::engine::{self, Engine, WireInput};
-use oa_analyze::{locks, sarif, wire};
+use oa_analyze::engine::{self, WireInput};
+use oa_analyze::{effects, locks, sarif, wire};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -63,7 +63,6 @@ const SPEC_PATH: &str = "crates/serve/protocol.spec";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = Engine::Ast;
     let mut root = PathBuf::from(".");
     let mut callgraph = false;
     let mut wire_cmd = false;
@@ -89,15 +88,7 @@ fn main() -> ExitCode {
             "--timings" => timings = true,
             "--explain-discharges" => explain_discharges = true,
             other => {
-                if let Some(name) = other.strip_prefix("--engine=") {
-                    match Engine::parse(name) {
-                        Some(e) => engine = e,
-                        None => {
-                            eprintln!("oa_lint: unknown engine {name:?} (ast|token)");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else if let Some(path) = other.strip_prefix("--sarif=") {
+                if let Some(path) = other.strip_prefix("--sarif=") {
                     sarif_path = Some(PathBuf::from(path));
                 } else if let Some(path) = other.strip_prefix("--baseline=") {
                     baseline_path = Some(PathBuf::from(path));
@@ -137,7 +128,7 @@ fn main() -> ExitCode {
 
     // lint: allow(wall_clock, CLI timing line, not a response path)
     let started = std::time::Instant::now();
-    let report = engine::run_with(engine, &inputs, Some(&wire_input));
+    let report = engine::run_with(&inputs, Some(&wire_input));
 
     if let Some(path) = &sarif_path {
         if let Err(err) = std::fs::write(path, sarif::to_sarif(&report)) {
@@ -182,14 +173,10 @@ fn main() -> ExitCode {
         println!("{finding}");
     }
 
-    let label = match engine {
-        Engine::Ast => "ast",
-        Engine::Token => "token",
-    };
     let timing = if timings {
         let t = &report.timings;
         format!(
-            " (engine={label} files={} fns={} edges={} discharged={} \
+            " (files={} fns={} edges={} discharged={} \
              parse_ms={} callgraph_ms={} ranges_ms={} effects_ms={} wire_ms={} elapsed_ms={})",
             report.files,
             report.fns,
@@ -290,7 +277,7 @@ fn run_callgraph(root: &Path, inputs: &[(String, String)], dot: bool, check: boo
                 eprintln!("oa_lint: cannot read {}: {err}", snap_path.display());
             }
         }
-        let lock_graph = locks::lock_graph(&graph);
+        let lock_graph = locks::lock_graph(&graph, &effects::summarize(&graph).effects);
         let cycles = lock_graph.cycles();
         if cycles.is_empty() {
             eprintln!(

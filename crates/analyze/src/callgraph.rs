@@ -65,6 +65,8 @@ pub struct CallGraph<'w> {
     pub nodes: Vec<(usize, usize)>,
     /// Outgoing edges per node, deduplicated, in body order.
     pub edges: Vec<Vec<Edge>>,
+    /// Type environment per node, built once with the edges.
+    envs: Vec<TypeEnv>,
     /// Struct name → field name → declared type text, workspace-wide.
     pub fields: BTreeMap<String, BTreeMap<String, String>>,
     by_qual: BTreeMap<String, Vec<usize>>,
@@ -99,6 +101,7 @@ impl<'w> CallGraph<'w> {
             ws,
             nodes: Vec::new(),
             edges: Vec::new(),
+            envs: Vec::new(),
             fields: BTreeMap::new(),
             by_qual: BTreeMap::new(),
             methods_by_name: BTreeMap::new(),
@@ -134,15 +137,21 @@ impl<'w> CallGraph<'w> {
             }
         }
         for id in 0..graph.nodes.len() {
-            let out = graph.resolve_fn(id);
+            let env = graph.build_env(id);
+            let out = graph.resolve_fn(id, &env);
             graph.edges.push(out);
+            graph.envs.push(env);
         }
         graph
     }
 
-    /// Builds the type environment of a node: `self`, params, locals,
-    /// and lock guards (in body order, later entries shadowing).
-    pub fn type_env(&self, id: usize) -> TypeEnv {
+    /// The type environment of a node: `self`, params, locals, and
+    /// lock guards (in body order, later entries shadowing).
+    pub fn type_env(&self, id: usize) -> &TypeEnv {
+        &self.envs[id]
+    }
+
+    fn build_env(&self, id: usize) -> TypeEnv {
         let def = self.def(id);
         let mut env = TypeEnv::default();
         if let Some(ty) = &def.self_ty {
@@ -207,10 +216,9 @@ impl<'w> CallGraph<'w> {
         Some((owner, field.to_owned()))
     }
 
-    fn resolve_fn(&self, id: usize) -> Vec<Edge> {
+    fn resolve_fn(&self, id: usize, env: &TypeEnv) -> Vec<Edge> {
         let def = self.def(id);
         let file = self.file(id);
-        let env = self.type_env(id);
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         let Some(body) = &def.body else {
@@ -218,7 +226,7 @@ impl<'w> CallGraph<'w> {
         };
         body.walk(&mut |_stmt: &Stmt, ev: &Event| {
             let Event::Call(call) = ev else { return };
-            for callee in self.resolve_target(file, id, &env, &call.target) {
+            for callee in self.resolve_target(file, id, env, &call.target) {
                 if callee != id && seen.insert((callee, call.line)) {
                     out.push(Edge {
                         callee,

@@ -1,4 +1,5 @@
-//! Effect inference: a bottom-up fixpoint over the call graph.
+//! The summary engine: one bottom-up fixpoint over the call graph, and
+//! the rules that query it.
 //!
 //! Every function gets an *effect set* — a small lattice of facts
 //! about what running it may do:
@@ -15,10 +16,13 @@
 //! | `WallClock`    | `Instant::now`, `SystemTime::now`, `.elapsed()`    |
 //! | `Panics`       | `unwrap`/`expect`, indexing, `panic!`-family       |
 //!
-//! The fixpoint unions every callee's set into its callers until
-//! nothing changes, recording for each effect bit a deterministic
-//! *witness* — the direct site or the call edge that introduced it —
-//! so every diagnostic can print the full entry→site chain.
+//! The same summary carries the set of lock classes the function may
+//! acquire, itself or through its callees. [`summarize`] unions every
+//! callee's summary into its callers until nothing changes, recording
+//! for each effect bit a deterministic *witness* — the direct site or
+//! the call edge that introduced it — so every diagnostic can print
+//! the full entry→site chain. The same rounds also settle the
+//! determinism-taint summaries ([`crate::taint`]).
 //!
 //! `Blocks` deliberately means *may park the thread indefinitely on
 //! external progress*: bounded disk io (`File` writes, `sync_data`)
@@ -27,22 +31,32 @@
 //! nonblocking (`Conn::new` / `Acceptor::bind`). DESIGN.md §12
 //! records this soundness envelope.
 //!
-//! Three rules consume the inference:
+//! Four rules query the summary:
 //!
+//! * `panic` — no `Panics` site in a function of the
+//!   [`HARDENED_CRATES`] reachable from the [`ENTRY_POINTS`]. Functions
+//!   in other crates (the numeric domain layer) are traversed but
+//!   their own sites are not collected: the domain layer's panic
+//!   policy is "panics are bugs caught by the sweep tests", not
+//!   "panics are annotated". Indexing the value-range analysis proves
+//!   in bounds ([`crate::ranges`]) needs no annotation;
 //! * `nonblocking_event_loop` — no `Blocks` site reachable from the
 //!   `oa_router` `event_loop` entry points (brief lock acquisitions
-//!   are allowed; holding one across a block is rule 3's job);
+//!   are allowed; holding one across a block is rule 4's job);
 //! * `alloc_free_kernel` — no `Allocates` site reachable from the
 //!   `oa_linalg` LANES factor/solve kernels;
 //! * `lock_across_blocking` — no `Blocks` call while a lock guard is
-//!   live (extends the lock analysis' guard-scope walk).
+//!   live (the held-guard walk of [`crate::locks`]).
+//!
+//! The first three print the entry→function call chain; the chain is
+//! the diagnostic's payload.
 
-use crate::ast::{CallTarget, Event};
+use crate::ast::{CallSite, CallTarget, Event};
 use crate::callgraph::{CallGraph, TypeEnv};
-use crate::lint::Finding;
-use crate::locks::acquisition_class;
-use crate::reachability::{chain_text, Allowed};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::lint::{is_allowed, Allowed, Finding};
+use crate::locks::{acquisition_class, walk_guards, GuardStep};
+use crate::taint::TaintSummaries;
+use std::collections::{BTreeSet, VecDeque};
 
 /// May park the thread indefinitely (socket/channel/condvar waits,
 /// `thread::sleep`, `connect`).
@@ -58,25 +72,43 @@ pub const WALL_CLOCK: u8 = 1 << 4;
 /// May panic.
 pub const PANICS: u8 = 1 << 5;
 
-/// The six effect bits in display order.
-const BITS: [(u8, &str); 6] = [
-    (BLOCKS, "Blocks"),
-    (ALLOCATES, "Allocates"),
-    (ACQUIRES_LOCK, "AcquiresLock"),
-    (PERFORMS_IO, "PerformsIo"),
-    (WALL_CLOCK, "WallClock"),
-    (PANICS, "Panics"),
+/// The six effect bits, in witness-slot order.
+const BITS: [u8; 6] = [
+    BLOCKS,
+    ALLOCATES,
+    ACQUIRES_LOCK,
+    PERFORMS_IO,
+    WALL_CLOCK,
+    PANICS,
 ];
 
-/// Renders an effect set as `{Blocks, PerformsIo}`.
-pub fn set_text(set: u8) -> String {
-    let names: Vec<&str> = BITS
-        .iter()
-        .filter(|(bit, _)| set & bit != 0)
-        .map(|(_, n)| *n)
-        .collect();
-    format!("{{{}}}", names.join(", "))
-}
+/// Qualified names of the functions client work enters through.
+pub const ENTRY_POINTS: &[&str] = &[
+    "Service::handle_line",
+    "connection_loop",
+    "worker_loop",
+    "Store::open_with_faults",
+    "event_loop",
+];
+
+/// Lib names of the crates whose panic sites must be annotated when
+/// reachable. `oa_bo`, `oa_gp` and `oa_graph` joined when the session
+/// ops put the BO propose/observe loop and the WL-GP fit on the
+/// `Service::handle_line` request path (DESIGN.md §13).
+pub const HARDENED_CRATES: &[&str] = &[
+    "oa_serve",
+    "oa_par",
+    "oa_store",
+    "oa_fault",
+    "oa_router",
+    "oa_bo",
+    "oa_gp",
+    "oa_graph",
+];
+
+/// The description of an indexing site (the only `Panics` site the
+/// range analysis can discharge).
+const INDEXING: &str = "slice/array indexing can panic";
 
 /// How a function came to carry an effect bit.
 #[derive(Debug, Clone, Default)]
@@ -100,14 +132,59 @@ enum Origin {
     },
 }
 
-/// Per-function inferred effects with per-bit witnesses.
+/// A direct (seeded) effect site in a function body.
+#[derive(Debug, Clone)]
+struct Site {
+    /// 1-based line.
+    line: u32,
+    /// Effect bits the operation carries.
+    bits: u8,
+    /// Human-readable description of the operation.
+    what: String,
+}
+
+/// Per-function effect summaries with per-bit witnesses.
 pub struct Effects {
     /// Effect set per call-graph node.
     pub sets: Vec<u8>,
+    /// Lock classes per node that it may acquire, itself or through
+    /// its callees.
+    pub locks: Vec<BTreeSet<String>>,
     /// `origin[id][bit_index]` — first witness for each effect bit.
     origins: Vec<[Origin; 6]>,
-    /// Direct (seeded) sites per node: `(line, bits, what)`.
-    direct_sites: Vec<Vec<(u32, u8, String)>>,
+    /// Direct sites per node, in body order.
+    sites: Vec<Vec<Site>>,
+}
+
+/// Every bottom-up summary the rules query, settled by one fixpoint.
+pub struct Summaries {
+    /// Effect sets and lock classes.
+    pub effects: Effects,
+    /// Determinism-taint summaries and the flows they expose.
+    pub taint: TaintSummaries,
+}
+
+/// Seeds every function's direct effects and lock classes, then runs
+/// the fixpoint: a Gauss-Seidel sweep in node order, each node reading
+/// its callees' current summaries, repeated until a round changes
+/// nothing. Union facts cross at most `n - 1` edges, so `n` rounds of
+/// change plus one quiet round bound the effect and lock lattices;
+/// the taint summaries settle in 7 rounds on the workspace.
+pub fn summarize(graph: &CallGraph<'_>) -> Summaries {
+    let n = graph.nodes.len();
+    let mut effects = Effects::seed(graph);
+    let mut taint = TaintSummaries::new(n);
+    for _round in 0..=n {
+        let mut changed = false;
+        for id in 0..n {
+            changed |= effects.absorb_callees(graph, id);
+            changed |= taint.update(graph, id);
+        }
+        if !changed {
+            break;
+        }
+    }
+    Summaries { effects, taint }
 }
 
 /// Names of calls that resolved to workspace functions, keyed by call
@@ -125,44 +202,38 @@ fn resolved_call_names(graph: &CallGraph<'_>, id: usize) -> BTreeSet<(u32, Strin
         .collect()
 }
 
-/// Classifies one body event, returning its seeded effect bits and a
+/// Classifies one call, returning its seeded effect bits and a
 /// human-readable description of the operation. `resolved` is the
 /// [`resolved_call_names`] set of the enclosing function.
-fn event_effects(
+fn call_effects(
     graph: &CallGraph<'_>,
     env: &TypeEnv,
     fn_qual: &str,
     resolved: &BTreeSet<(u32, String)>,
-    ev: &Event,
-) -> Option<(u32, u8, String)> {
-    match ev {
-        Event::Index { line, .. } => Some((*line, PANICS, "slice/array indexing".to_owned())),
-        Event::Guard { .. } | Event::DropVar { .. } | Event::Str { .. } => None,
-        Event::Call(call) => {
-            let line = call.line;
-            let called = match &call.target {
-                CallTarget::Method { name, .. } => name.as_str(),
-                CallTarget::Free { path } => path.last().map(String::as_str).unwrap_or(""),
-                CallTarget::Macro { .. } => "",
-            };
-            if !called.is_empty() && resolved.contains(&(line, called.to_owned())) {
-                return None;
-            }
-            match &call.target {
-                CallTarget::Method { name, recv } => {
-                    if let Some(class) = acquisition_class(graph, env, fn_qual, name, recv) {
-                        return Some((line, ACQUIRES_LOCK, format!("acquires lock `{class}`")));
-                    }
-                    method_effects(graph, env, name, recv).map(|(bits, what)| (line, bits, what))
-                }
-                CallTarget::Free { path } => {
-                    free_effects(path).map(|(bits, what)| (line, bits, what))
-                }
-                CallTarget::Macro { name } => {
-                    macro_effects(name).map(|(bits, what)| (line, bits, what))
-                }
-            }
+    call: &CallSite,
+) -> Option<(u8, String)> {
+    let called = match &call.target {
+        // A panic site even when a receiver the type environment cannot
+        // resolve falls back to a workspace method of the same name.
+        CallTarget::Method { name, .. } if matches!(name.as_str(), "unwrap" | "expect") => {
+            return Some((PANICS, format!(".{name}() can panic")));
         }
+        CallTarget::Method { name, .. } => name.as_str(),
+        CallTarget::Free { path } => path.last().map(String::as_str).unwrap_or(""),
+        CallTarget::Macro { .. } => "",
+    };
+    if !called.is_empty() && resolved.contains(&(call.line, called.to_owned())) {
+        return None;
+    }
+    match &call.target {
+        CallTarget::Method { name, recv } => {
+            if let Some(class) = acquisition_class(graph, env, fn_qual, name, recv) {
+                return Some((ACQUIRES_LOCK, format!("acquires lock `{class}`")));
+            }
+            method_effects(graph, env, name, recv)
+        }
+        CallTarget::Free { path } => free_effects(path),
+        CallTarget::Macro { name } => macro_effects(name),
     }
 }
 
@@ -248,7 +319,6 @@ fn method_effects(
         "read" | "write" | "accept" => Some((PERFORMS_IO, format!(".{name}() single-shot io"))),
         "sync_all" | "sync_data" => Some((PERFORMS_IO, format!(".{name}() flushes to disk"))),
         "elapsed" => Some((WALL_CLOCK, ".elapsed() reads the wall clock".to_owned())),
-        "unwrap" | "expect" => Some((PANICS, format!(".{name}() can panic"))),
         _ if ALLOC_METHODS.contains(&name) => Some((ALLOCATES, format!(".{name}() allocates"))),
         _ => None,
     }
@@ -295,25 +365,41 @@ fn macro_effects(name: &str) -> Option<(u8, String)> {
     }
 }
 
-/// Runs the inference: seeds direct effects per function, then unions
-/// callee sets into callers until the fixpoint.
-pub fn infer(graph: &CallGraph<'_>) -> Effects {
-    let n = graph.nodes.len();
-    let mut eff = Effects {
-        sets: vec![0u8; n],
-        origins: std::iter::repeat_with(Default::default).take(n).collect(),
-        direct_sites: vec![Vec::new(); n],
-    };
-    for id in 0..n {
-        let def = graph.def(id);
-        let Some(body) = &def.body else { continue };
-        let env = graph.type_env(id);
-        let resolved = resolved_call_names(graph, id);
-        body.walk(&mut |_s, ev| {
-            if let Some((line, bits, what)) = event_effects(graph, &env, &def.qual, &resolved, ev) {
-                eff.direct_sites[id].push((line, bits, what.clone()));
+impl Effects {
+    /// Seeds each function's direct sites, effect set and lock classes.
+    fn seed(graph: &CallGraph<'_>) -> Effects {
+        let n = graph.nodes.len();
+        let mut eff = Effects {
+            sets: vec![0u8; n],
+            locks: vec![BTreeSet::new(); n],
+            origins: std::iter::repeat_with(Default::default).take(n).collect(),
+            sites: vec![Vec::new(); n],
+        };
+        for id in 0..n {
+            let def = graph.def(id);
+            let Some(body) = &def.body else { continue };
+            let env = graph.type_env(id);
+            let resolved = resolved_call_names(graph, id);
+            body.walk(&mut |_s, ev| {
+                let (line, (bits, what)) = match ev {
+                    Event::Index { line, .. } => (*line, (PANICS, INDEXING.to_owned())),
+                    Event::Call(call) => {
+                        if let CallTarget::Method { name, recv } = &call.target {
+                            if let Some(class) =
+                                acquisition_class(graph, env, &def.qual, name, recv)
+                            {
+                                eff.locks[id].insert(class);
+                            }
+                        }
+                        match call_effects(graph, env, &def.qual, &resolved, call) {
+                            Some(effects) => (call.line, effects),
+                            None => return,
+                        }
+                    }
+                    Event::Guard { .. } | Event::DropVar { .. } | Event::Str { .. } => return,
+                };
                 eff.sets[id] |= bits;
-                for (i, (bit, _)) in BITS.iter().enumerate() {
+                for (i, bit) in BITS.iter().enumerate() {
                     if bits & bit != 0 && matches!(eff.origins[id][i], Origin::None) {
                         eff.origins[id][i] = Origin::Site {
                             line,
@@ -321,51 +407,56 @@ pub fn infer(graph: &CallGraph<'_>) -> Effects {
                         };
                     }
                 }
-            }
-        });
+                eff.sites[id].push(Site { line, bits, what });
+            });
+        }
+        eff
     }
-    loop {
+
+    /// Unions every callee's effect set and lock classes into `id`'s;
+    /// a newly inherited bit takes the call edge as its witness.
+    /// Returns whether anything changed.
+    fn absorb_callees(&mut self, graph: &CallGraph<'_>, id: usize) -> bool {
         let mut changed = false;
-        for id in 0..n {
-            for e in &graph.edges[id] {
-                let add = eff.sets[e.callee] & !eff.sets[id];
-                if add == 0 {
-                    continue;
-                }
+        for e in &graph.edges[id] {
+            let add = self.sets[e.callee] & !self.sets[id];
+            if add != 0 {
                 changed = true;
-                eff.sets[id] |= add;
-                for (i, (bit, _)) in BITS.iter().enumerate() {
+                self.sets[id] |= add;
+                for (i, bit) in BITS.iter().enumerate() {
                     if add & bit != 0 {
-                        eff.origins[id][i] = Origin::Call {
+                        self.origins[id][i] = Origin::Call {
                             line: e.line,
                             callee: e.callee,
                         };
                     }
                 }
             }
+            let new: Vec<String> = self.locks[e.callee]
+                .difference(&self.locks[id])
+                .cloned()
+                .collect();
+            if !new.is_empty() {
+                changed = true;
+                self.locks[id].extend(new);
+            }
         }
-        if !changed {
-            break;
-        }
+        changed
     }
-    eff
-}
 
-impl Effects {
     /// Formats the witness chain from `id` down to the seeded site for
     /// one effect bit: `-> Store::put (at log.rs:262): .write_all() …`.
     fn witness_text(&self, graph: &CallGraph<'_>, mut id: usize, bit: u8) -> String {
-        let idx = BITS.iter().position(|(b, _)| *b == bit).unwrap_or(0);
+        let idx = BITS.iter().position(|b| *b == bit).unwrap_or(0);
         let mut text = String::new();
         for _ in 0..64 {
+            let base = graph.file(id).path.rsplit('/').next().unwrap_or("");
             match &self.origins[id][idx] {
                 Origin::Site { line, what } => {
-                    let base = graph.file(id).path.rsplit('/').next().unwrap_or("");
                     text.push_str(&format!(" -> {what} (at {base}:{line})"));
                     return text;
                 }
                 Origin::Call { line, callee } => {
-                    let base = graph.file(id).path.rsplit('/').next().unwrap_or("");
                     text.push_str(&format!(
                         " -> {} (at {base}:{line})",
                         graph.def(*callee).qual
@@ -402,9 +493,43 @@ fn bfs(graph: &CallGraph<'_>, entries: &[usize]) -> (Vec<bool>, Vec<Option<(usiz
     (reached, parent)
 }
 
+/// Formats the entry→site call chain from the BFS parent pointers:
+/// `reachable from Service::handle_line: Service::handle_line ->
+/// Store::put (at service.rs:88) -> parse_record (at log.rs:102)`.
+fn chain_text(graph: &CallGraph<'_>, parent: &[Option<(usize, u32)>], id: usize) -> String {
+    // hops[i] = (node, line of the call in node's body that reaches
+    // hops[i+1]); the last hop carries no outgoing line.
+    let mut hops: Vec<(usize, Option<u32>)> = Vec::new();
+    let mut cur = id;
+    let mut via: Option<u32> = None;
+    loop {
+        hops.push((cur, via));
+        match parent[cur] {
+            Some((p, line)) if hops.len() <= 64 => {
+                via = Some(line);
+                cur = p;
+            }
+            _ => break,
+        }
+    }
+    hops.reverse();
+    let entry = graph.def(hops[0].0).qual.clone();
+    let mut text = format!("reachable from {entry}: {entry}");
+    for i in 1..hops.len() {
+        let (caller, call_line) = hops[i - 1];
+        let base = graph.file(caller).path.rsplit('/').next().unwrap_or("");
+        text.push_str(&format!(
+            " -> {} (at {base}:{})",
+            graph.def(hops[i].0).qual,
+            call_line.unwrap_or(0)
+        ));
+    }
+    text
+}
+
 /// Flags every direct site carrying `bits` in any function reachable
-/// from `entries`, unless annotated under `rule`.
-#[allow(clippy::too_many_arguments)]
+/// from `entries`, unless annotated under `rule`. `describe` returns
+/// the message text before the call chain, or `None` to skip a site.
 fn reachability_rule(
     graph: &CallGraph<'_>,
     eff: &Effects,
@@ -412,232 +537,163 @@ fn reachability_rule(
     entries: &[usize],
     bits: u8,
     rule: &'static str,
-    verb: &str,
-    findings: &mut Vec<Finding>,
-) {
+    describe: impl Fn(usize, &Site) -> Option<String>,
+) -> Vec<Finding> {
     let (reached, parent) = bfs(graph, entries);
+    let mut findings = Vec::new();
     for (id, &is_reached) in reached.iter().enumerate() {
         if !is_reached {
             continue;
         }
-        let file = graph.file(id);
-        let allowed_lines = allowed
-            .get(&file.path)
-            .and_then(|rules| rules.get(rule))
-            .cloned()
-            .unwrap_or_default();
-        for (line, site_bits, what) in &eff.direct_sites[id] {
-            if site_bits & bits == 0 || allowed_lines.contains(line) {
+        let path = &graph.file(id).path;
+        for site in &eff.sites[id] {
+            if site.bits & bits == 0 || is_allowed(allowed, path, rule, site.line) {
                 continue;
             }
+            let Some(text) = describe(id, site) else {
+                continue;
+            };
             findings.push(Finding {
-                path: file.path.clone(),
-                line: *line,
+                path: path.clone(),
+                line: site.line,
                 rule,
-                message: format!("{what} — {verb}; {}", chain_text(graph, &parent, id)),
+                message: format!("{text}{}", chain_text(graph, &parent, id)),
             });
         }
     }
-}
-
-/// Runs the three effect rules; `allowed` is the annotation map.
-pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
-    let eff = infer(graph);
-    let mut findings = Vec::new();
-
-    // Rule 1: nothing blocking on the router's nonblocking event loop.
-    let loop_entries: Vec<usize> = graph
-        .find_qual("event_loop")
-        .into_iter()
-        .filter(|&id| graph.file(id).crate_name == "oa_router")
-        .collect();
-    reachability_rule(
-        graph,
-        &eff,
-        allowed,
-        &loop_entries,
-        BLOCKS,
-        "nonblocking_event_loop",
-        "stalls the nonblocking event loop",
-        &mut findings,
-    );
-
-    // Rule 2: no allocation in the LANES batch kernels.
-    let mut kernel_entries: Vec<usize> = Vec::new();
-    for qual in ["SymbolicPlan::factor", "SymbolicPlan::solve_gated"] {
-        kernel_entries.extend(
-            graph
-                .find_qual(qual)
-                .into_iter()
-                .filter(|&id| graph.file(id).crate_name == "oa_linalg"),
-        );
-    }
-    reachability_rule(
-        graph,
-        &eff,
-        allowed,
-        &kernel_entries,
-        ALLOCATES,
-        "alloc_free_kernel",
-        "allocates in the LANES hot path",
-        &mut findings,
-    );
-
-    // Rule 3: nothing blocking while a lock guard is live.
-    check_lock_across_blocking(graph, &eff, allowed, &mut findings);
-
     findings
 }
 
-/// One lock being held during the `lock_across_blocking` walk.
-struct HeldGuard {
-    class: String,
-    guard_var: Option<String>,
-    stmt_scoped: bool,
-    block_level: usize,
+/// Node ids of the functions named `quals` in the crate `crate_name`
+/// (any crate when `None`), in `quals` order.
+fn entries(graph: &CallGraph<'_>, quals: &[&str], crate_name: Option<&str>) -> Vec<usize> {
+    quals
+        .iter()
+        .flat_map(|qual| graph.find_qual(qual))
+        .filter(|&id| crate_name.is_none_or(|name| graph.file(id).crate_name == name))
+        .collect()
 }
 
+/// Runs the four effect rules. `allowed` is the annotation map;
+/// `discharged` holds the `(path, line)` indexing sites the value-range
+/// analysis proved in bounds — those report nothing.
+pub fn check(
+    graph: &CallGraph<'_>,
+    eff: &Effects,
+    allowed: &Allowed,
+    discharged: &BTreeSet<(String, u32)>,
+) -> Vec<Finding> {
+    // Rule 1: no reachable panic in the hardened crates.
+    let mut findings = reachability_rule(
+        graph,
+        eff,
+        allowed,
+        &entries(graph, ENTRY_POINTS, None),
+        PANICS,
+        "panic",
+        |id, site| {
+            let file = graph.file(id);
+            let proven =
+                site.what == INDEXING && discharged.contains(&(file.path.clone(), site.line));
+            (HARDENED_CRATES.contains(&file.crate_name.as_str()) && !proven)
+                .then(|| format!("{}; ", site.what))
+        },
+    );
+
+    // Rule 2: nothing blocking on the router's nonblocking event loop.
+    findings.extend(reachability_rule(
+        graph,
+        eff,
+        allowed,
+        &entries(graph, &["event_loop"], Some("oa_router")),
+        BLOCKS,
+        "nonblocking_event_loop",
+        |_, site| {
+            Some(format!(
+                "{} — stalls the nonblocking event loop; ",
+                site.what
+            ))
+        },
+    ));
+
+    // Rule 3: no allocation in the LANES batch kernels.
+    findings.extend(reachability_rule(
+        graph,
+        eff,
+        allowed,
+        &entries(
+            graph,
+            &["SymbolicPlan::factor", "SymbolicPlan::solve_gated"],
+            Some("oa_linalg"),
+        ),
+        ALLOCATES,
+        "alloc_free_kernel",
+        |_, site| Some(format!("{} — allocates in the LANES hot path; ", site.what)),
+    ));
+
+    // Rule 4: nothing blocking while a lock guard is live.
+    for id in 0..graph.nodes.len() {
+        check_lock_across_blocking(graph, eff, allowed, id, &mut findings);
+    }
+    findings
+}
+
+/// Walks one function's held guards and flags every blocking call —
+/// a direct `Blocks` operation, or a call into a function whose
+/// summary carries `Blocks` — made while a guard is live.
 fn check_lock_across_blocking(
     graph: &CallGraph<'_>,
     eff: &Effects,
     allowed: &Allowed,
+    id: usize,
     findings: &mut Vec<Finding>,
 ) {
-    for id in 0..graph.nodes.len() {
-        let def = graph.def(id);
-        let Some(body) = &def.body else { continue };
-        let file = graph.file(id);
-        let allowed_lines = allowed
-            .get(&file.path)
-            .and_then(|rules| rules.get("lock_across_blocking"))
-            .cloned()
-            .unwrap_or_default();
-        let mut edges_by_line: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for e in &graph.edges[id] {
-            edges_by_line.entry(e.line).or_default().push(e.callee);
+    let fn_qual = &graph.def(id).qual;
+    let path = &graph.file(id).path;
+    let resolved = resolved_call_names(graph, id);
+    let mut reported: BTreeSet<(u32, String)> = BTreeSet::new();
+    walk_guards(graph, id, &mut |held, step| {
+        let GuardStep::Call(call) = step else { return };
+        if held.is_empty() {
+            return;
         }
-        let mut ctx = BlockingCtx {
-            graph,
-            eff,
-            env: graph.type_env(id),
-            fn_qual: def.qual.clone(),
-            file_path: file.path.clone(),
-            resolved: resolved_call_names(graph, id),
-            edges_by_line,
-            allowed_lines,
-            reported: BTreeSet::new(),
-            findings,
-        };
-        let mut held: Vec<HeldGuard> = Vec::new();
-        walk_blocking(&mut ctx, body, &mut held, 0);
-    }
-}
-
-struct BlockingCtx<'g, 'w, 'f> {
-    graph: &'g CallGraph<'w>,
-    eff: &'g Effects,
-    env: TypeEnv,
-    fn_qual: String,
-    file_path: String,
-    resolved: BTreeSet<(u32, String)>,
-    edges_by_line: BTreeMap<u32, Vec<usize>>,
-    allowed_lines: Vec<u32>,
-    reported: BTreeSet<(u32, String)>,
-    findings: &'f mut Vec<Finding>,
-}
-
-fn held_text(held: &[HeldGuard]) -> String {
-    let classes: Vec<&str> = held.iter().map(|h| h.class.as_str()).collect();
-    classes.join(", ")
-}
-
-fn walk_blocking(
-    ctx: &mut BlockingCtx<'_, '_, '_>,
-    block: &crate::ast::Block,
-    held: &mut Vec<HeldGuard>,
-    level: usize,
-) {
-    for stmt in &block.stmts {
-        let mut first_acquisition = true;
-        for part in &stmt.parts {
-            match part {
-                crate::ast::StmtPart::Block(b) => walk_blocking(ctx, b, held, level + 1),
-                crate::ast::StmtPart::Event(Event::DropVar { name, .. }) => {
-                    held.retain(|h| h.guard_var.as_deref() != Some(name));
-                }
-                crate::ast::StmtPart::Event(
-                    Event::Index { .. } | Event::Guard { .. } | Event::Str { .. },
-                ) => {}
-                crate::ast::StmtPart::Event(ev @ Event::Call(call)) => {
-                    if let CallTarget::Method { name, recv } = &call.target {
-                        if let Some(class) =
-                            acquisition_class(ctx.graph, &ctx.env, &ctx.fn_qual, name, recv)
-                        {
-                            let is_guard = stmt.guard_bind.is_some() && first_acquisition;
-                            first_acquisition = false;
-                            held.push(HeldGuard {
-                                class,
-                                guard_var: if is_guard {
-                                    stmt.guard_bind.clone()
-                                } else {
-                                    None
-                                },
-                                stmt_scoped: !is_guard,
-                                block_level: level,
-                            });
-                            continue;
-                        }
-                    }
-                    if held.is_empty() {
-                        continue;
-                    }
-                    // Direct blocking operation while a guard is live.
-                    if let Some((line, bits, what)) =
-                        event_effects(ctx.graph, &ctx.env, &ctx.fn_qual, &ctx.resolved, ev)
-                    {
-                        if bits & BLOCKS != 0 {
-                            report_blocking(ctx, line, what, held, None);
-                        }
-                    }
-                    // A call into a function whose effects carry Blocks.
-                    if let Some(callees) = ctx.edges_by_line.get(&call.line).cloned() {
-                        for callee in callees {
-                            if ctx.eff.sets[callee] & BLOCKS != 0 {
-                                let what = format!("call to {}", ctx.graph.def(callee).qual);
-                                report_blocking(ctx, call.line, what, held, Some(callee));
-                            }
-                        }
-                    }
-                }
+        let mut blocking: Vec<(String, Option<usize>)> = Vec::new();
+        if let Some((bits, what)) =
+            call_effects(graph, graph.type_env(id), fn_qual, &resolved, call)
+        {
+            if bits & BLOCKS != 0 {
+                blocking.push((what, None));
             }
         }
-        held.retain(|h| !(h.stmt_scoped && h.block_level == level));
-    }
-    held.retain(|h| h.block_level != level);
-}
-
-fn report_blocking(
-    ctx: &mut BlockingCtx<'_, '_, '_>,
-    line: u32,
-    what: String,
-    held: &[HeldGuard],
-    callee: Option<usize>,
-) {
-    if ctx.allowed_lines.contains(&line) || !ctx.reported.insert((line, what.clone())) {
-        return;
-    }
-    let witness = callee
-        .map(|c| ctx.eff.witness_text(ctx.graph, c, BLOCKS))
-        .unwrap_or_default();
-    ctx.findings.push(Finding {
-        path: ctx.file_path.clone(),
-        line,
-        rule: "lock_across_blocking",
-        message: format!(
-            "{what} may block while holding lock(s) {{{}}} in {}{witness}",
-            held_text(held),
-            ctx.fn_qual
-        ),
+        for e in graph.edges[id].iter().filter(|e| e.line == call.line) {
+            if eff.sets[e.callee] & BLOCKS != 0 {
+                blocking.push((
+                    format!("call to {}", graph.def(e.callee).qual),
+                    Some(e.callee),
+                ));
+            }
+        }
+        for (what, callee) in blocking {
+            let line = call.line;
+            if is_allowed(allowed, path, "lock_across_blocking", line)
+                || !reported.insert((line, what.clone()))
+            {
+                continue;
+            }
+            let witness = callee
+                .map(|c| eff.witness_text(graph, c, BLOCKS))
+                .unwrap_or_default();
+            let classes: Vec<&str> = held.iter().map(|h| h.class.as_str()).collect();
+            findings.push(Finding {
+                path: path.clone(),
+                line,
+                rule: "lock_across_blocking",
+                message: format!(
+                    "{what} may block while holding lock(s) {{{}}} in {fn_qual}{witness}",
+                    classes.join(", ")
+                ),
+            });
+        }
     });
 }
 
@@ -658,7 +714,125 @@ mod tests {
             let (rules, _) = crate::lint::annotations_of(path, src);
             allowed.insert(path.clone(), rules);
         }
-        check(&graph, &allowed)
+        let summaries = summarize(&graph);
+        check(&graph, &summaries.effects, &allowed, &BTreeSet::new())
+    }
+
+    fn panics(files: &[(&str, &str)]) -> Vec<Finding> {
+        let mut f: Vec<Finding> = run(files)
+            .into_iter()
+            .filter(|f| f.rule == "panic")
+            .collect();
+        f.sort_by_key(|f| f.line);
+        f
+    }
+
+    #[test]
+    fn panic_reachable_from_handler_is_reported_with_chain() {
+        let f = panics(&[(
+            "crates/serve/src/service.rs",
+            r#"
+            pub struct Service;
+            impl Service {
+                pub fn handle_line(&self) { step_one(); }
+            }
+            fn step_one() { step_two(); }
+            fn step_two(v: &[u8]) -> u8 { v[17] }
+            "#,
+        )]);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "panic");
+        assert!(f[0].message.contains("indexing"), "{}", f[0].message);
+        assert!(
+            f[0].message
+                .contains("Service::handle_line -> step_one (at service.rs:4) -> step_two"),
+            "{}",
+            f[0].message
+        );
+    }
+
+    #[test]
+    fn unreachable_panic_sites_are_silent() {
+        let f = panics(&[(
+            "crates/serve/src/service.rs",
+            "fn offline_tool(v: &[u8]) -> u8 { v[0] }",
+        )]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn annotated_panic_sites_are_silent() {
+        let f = panics(&[(
+            "crates/serve/src/service.rs",
+            r#"
+            pub struct Service;
+            impl Service {
+                pub fn handle_line(&self, v: &[u8]) -> u8 {
+                    // lint: allow(panic, length checked by framing layer)
+                    v[0]
+                }
+            }
+            "#,
+        )]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn domain_crates_are_traversed_but_not_collected() {
+        let f = panics(&[
+            (
+                "crates/serve/src/service.rs",
+                "pub struct Service;\nimpl Service { pub fn handle_line(&self) { solve(); } }",
+            ),
+            (
+                "crates/linalg/src/lu.rs",
+                "pub fn solve(a: &[f64]) -> f64 { a[0] }",
+            ),
+        ]);
+        assert!(
+            f.is_empty(),
+            "domain-layer indexing is not collected: {f:?}"
+        );
+    }
+
+    #[test]
+    fn panic_macro_and_unwrap_in_pool_are_reported() {
+        let f = panics(&[(
+            "crates/par/src/pool.rs",
+            r#"
+            pub fn worker_loop(rx: Receiver<Job>) {
+                let job = rx.recv().unwrap();
+                if job.poison { panic!("poisoned"); }
+            }
+            "#,
+        )]);
+        let rules: Vec<&str> = f.iter().map(|x| x.rule).collect();
+        assert_eq!(rules, vec!["panic", "panic"]);
+        assert!(f[0].message.contains(".unwrap() can panic"));
+        assert!(f[1].message.contains("panic! panics"));
+    }
+
+    #[test]
+    fn summary_carries_transitive_lock_classes() {
+        let inputs: Vec<(String, String)> = vec![(
+            "crates/serve/src/service.rs".to_owned(),
+            r#"
+            pub struct S { a: Mutex<u32>, b: Mutex<u32> }
+            impl S {
+                fn outer(&self) { self.inner(); }
+                fn inner(&self) { let g = self.a.lock(); self.leaf(); }
+                fn leaf(&self) { let g = self.b.lock(); }
+            }
+            "#
+            .to_owned(),
+        )];
+        let ws = Workspace::parse(&inputs);
+        let graph = CallGraph::build(&ws);
+        let eff = summarize(&graph).effects;
+        let outer = graph.find_qual("S::outer")[0];
+        let classes: Vec<&str> = eff.locks[outer].iter().map(String::as_str).collect();
+        assert_eq!(classes, vec!["S.a", "S.b"]);
+        assert_ne!(eff.sets[outer] & ACQUIRES_LOCK, 0);
     }
 
     #[test]

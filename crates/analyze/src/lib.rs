@@ -10,19 +10,21 @@
 //!   pattern — Hall's condition). Degenerate candidates are rejected
 //!   before an LU factorization or an optimizer evaluation slot is
 //!   spent on them.
-//! * **Source layer** ([`lexer`] + [`lint`] + the interprocedural
-//!   engine) — a std-only token-level Rust lexer feeding two analysis
-//!   engines behind the `oa_lint` binary. The *token engine* ([`lint`])
-//!   enforces local invariants of DESIGN.md §8 (no wall-clock in
-//!   response paths, exact-round-trip float formatting, `#![forbid(unsafe_code)]`
-//!   everywhere). The *ast engine* ([`parser`] → [`ast`] →
-//!   [`callgraph`] → [`reachability`]/[`locks`]/[`taint`], orchestrated
-//!   by [`engine`]) upgrades the panic and unordered-collection rules
-//!   to whole-program analyses: panic *reachability* from service entry
-//!   points with printed call chains, lock-order cycle detection over
-//!   an interprocedural lock-acquisition graph, and HashMap-iteration
-//!   determinism taint from sources to serialization sinks. DESIGN.md
-//!   §10 documents the architecture and the soundness envelope.
+//! * **Source layer** — one analysis engine behind the `oa_lint`
+//!   binary, orchestrated by [`engine`]. A std-only Rust [`lexer`]
+//!   feeds the token-shaped rules of [`lint`] (no wall-clock in
+//!   response paths, exact-round-trip float formatting,
+//!   `#![forbid(unsafe_code)]` everywhere, annotation hygiene) and the
+//!   [`parser`] → [`ast`] → [`callgraph`] pipeline. On the call graph
+//!   one bottom-up summary fixpoint ([`effects`]) settles each
+//!   function's effect set, lock classes and determinism-taint
+//!   summary ([`taint`]); the rules query it: panic *reachability*
+//!   from service entry points with printed call chains (minus the
+//!   indexing [`ranges`] proves in bounds), lock-order cycle detection
+//!   ([`locks`]), HashMap-iteration determinism taint from sources to
+//!   serialization sinks, and the effect rules. [`wire`] checks the
+//!   wire schema against the declared protocol. DESIGN.md §10 and §12
+//!   document the architecture and the soundness envelope.
 //!
 //! The `oa_sweep` binary applies the structural verifier exhaustively
 //! to all 30,625 topologies of the design space and exits non-zero if
@@ -42,14 +44,13 @@ pub mod locks;
 pub mod parser;
 pub mod protocol;
 pub mod ranges;
-pub mod reachability;
 pub mod sarif;
 pub mod structural;
 pub mod taint;
 pub mod wire;
 
 pub use error::StructuralError;
-pub use lint::{lint_source, Finding};
+pub use lint::Finding;
 pub use structural::{
     is_structurally_valid, structural_rank, sweep_design_space, verify_netlist, verify_structure,
     verify_topology, SweepReport,

@@ -1,16 +1,20 @@
-//! Workspace-invariant lint rules over the token stream.
+//! The token-shaped lint rules, and the `lint: allow(..)` annotation
+//! grammar every rule shares.
 //!
 //! These are the invariants the serving determinism and panic-freedom
 //! contracts (DESIGN.md §7) rely on but `clippy` cannot express,
-//! enforced mechanically instead of by code-review vigilance:
+//! enforced mechanically instead of by code-review vigilance. The
+//! rules below are properties of single tokens, so they scan each
+//! file's token stream:
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `wall_clock` | all workspace code | no `SystemTime` / `Instant::now` — wall-clock must never reach response bytes |
-//! | `unordered_collections` | `oa-serve`, `oa-store` | no `HashMap`/`HashSet` where iteration order could feed serialized output — use `BTreeMap` or sorted vectors |
-//! | `float_format` | `oa-serve`, `oa-store`, `oa-bench` | exponent-format floats in caches/stores/wire encodings only via the exact `{:.17e}` round-trip form |
-//! | `panic` | `oa-serve` request path, `oa-par` pool, `oa-fault` | no `unwrap`/`expect`/slice-indexing without an annotation |
+//! | `float_format` | `oa-serve`, `oa-store`, `oa-router`, `oa-bench` | exponent-format floats in caches/stores/wire encodings only via the exact `{:.17e}` round-trip form |
 //! | `forbid_unsafe` | every crate root | `#![forbid(unsafe_code)]` must be present |
+//!
+//! Every other rule in [`RULES`] is whole-program and runs over the
+//! call graph (see [`crate::engine`]).
 //!
 //! ## Annotation grammar
 //!
@@ -31,27 +35,6 @@ use crate::lexer::{lex, Token, TokenKind};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Identifiers of the lint rules (stable names used in annotations).
-/// `lock_order` and `determinism` only fire in the ast engine; their
-/// annotations are legal everywhere so both engines accept one source.
-pub const RULE_NAMES: &[&str] = &[
-    "wall_clock",
-    "unordered_collections",
-    "float_format",
-    "panic",
-    "forbid_unsafe",
-    "lock_order",
-    "determinism",
-    "nonblocking_event_loop",
-    "alloc_free_kernel",
-    "lock_across_blocking",
-    "wire_undeclared",
-    "wire_dead",
-    "wire_client_match",
-    "wire_router_coverage",
-    "wire_spec",
-];
-
 /// Catalogue entry describing one rule for `--list-rules`.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
@@ -61,17 +44,13 @@ pub struct RuleInfo {
     pub description: &'static str,
 }
 
-/// The rule catalogue.
+/// The rule catalogue. Its names are the ones `lint: allow(..)`
+/// accepts.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "wall_clock",
         description: "no SystemTime / Instant::now outside the annotated allowlist \
                       (wall-clock must never influence response bytes)",
-    },
-    RuleInfo {
-        name: "unordered_collections",
-        description: "no HashMap/HashSet in serialization-adjacent crates (oa-serve, \
-                      oa-store); iteration order must be deterministic",
     },
     RuleInfo {
         name: "float_format",
@@ -80,8 +59,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "panic",
-        description: "no unwrap/expect/slice-indexing in the oa-serve request path or \
-                      the oa-par pool without a justifying annotation",
+        description: "no Panics-effect site (unwrap/expect/indexing/panic!-family) in a \
+                      hardened crate reachable from a serving entry point, unless the \
+                      range analysis proves it in bounds or an annotation justifies it",
     },
     RuleInfo {
         name: "forbid_unsafe",
@@ -167,12 +147,8 @@ impl fmt::Display for Finding {
 pub struct Scope {
     /// `wall_clock` applies (all non-vendored workspace code).
     pub wall_clock: bool,
-    /// `unordered_collections` applies.
-    pub unordered_collections: bool,
     /// `float_format` applies.
     pub float_format: bool,
-    /// `panic` applies.
-    pub panic: bool,
     /// `forbid_unsafe` applies (crate roots only).
     pub forbid_unsafe: bool,
 }
@@ -184,49 +160,20 @@ pub fn scope_of(path: &str) -> Scope {
     // The router splices response bytes and renders merged stats, so it
     // sits on the same serialization bar as serve and the store.
     let serialization = in_crate("serve") || in_crate("store") || in_crate("router");
-    // The request path: everything a client request flows through. The
-    // CLI/daemon binaries and the test-only client are excluded — they
-    // are invocation tools, not the serving hot path.
-    let request_path = [
-        "crates/serve/src/service.rs",
-        "crates/serve/src/server.rs",
-        "crates/serve/src/json.rs",
-        "crates/serve/src/lib.rs",
-        "crates/router/src/router.rs",
-        "crates/router/src/frame.rs",
-        "crates/router/src/net.rs",
-        "crates/router/src/ring.rs",
-        "crates/router/src/lib.rs",
-    ]
-    .contains(&path);
     Scope {
         wall_clock: true,
-        unordered_collections: serialization,
         float_format: serialization || in_crate("bench"),
-        // The fault layer sits inside both the store and the serving hot
-        // path, so it inherits the same panic-freedom bar as the pool.
-        // Within oa-par only pool.rs is in scope: `par_map` is offline
-        // bench tooling with a deliberately panic-propagating contract,
-        // so forcing annotations on its index arithmetic was noise —
-        // the ast engine reaches the same conclusion via reachability.
-        panic: request_path || path == "crates/par/src/pool.rs" || in_crate("fault"),
         forbid_unsafe: path.ends_with("src/lib.rs"),
     }
 }
 
-/// Lints one file's source text under the rules `scope_of(path)`
-/// selects. Findings come back in line order.
-pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    lint_source_scoped(path, source, scope_of(path))
-}
-
-/// Lints one file under an explicit scope (the fixture tests use this
-/// to exercise rules regardless of path).
-pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> Vec<Finding> {
+/// Lints one file under a scope (normally `scope_of(path)`; the unit
+/// tests pass others to exercise rules regardless of path). Returns
+/// the findings in line order, plus the file's annotation map for the
+/// whole-program rules.
+pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> (Vec<Finding>, Annotations) {
     let tokens = lex(source);
-    let mut findings = Vec::new();
-    let (allowed, mut annotation_findings) = collect_annotations(path, &tokens);
-    findings.append(&mut annotation_findings);
+    let (allowed, mut findings) = collect_annotations(path, &tokens);
     let skip = test_code_mask(&tokens);
 
     // Code tokens with their index in the full stream, comments and
@@ -272,22 +219,6 @@ pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> Vec<Finding
         }
     }
 
-    if scope.unordered_collections {
-        for t in &code {
-            if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                report(
-                    "unordered_collections",
-                    t.line,
-                    format!(
-                        "{} has nondeterministic iteration order; use BTreeMap/BTreeSet \
-                         or sorted vectors in serialization-adjacent code",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-
     if scope.float_format {
         for t in &code {
             if t.kind == TokenKind::Str {
@@ -301,41 +232,6 @@ pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> Vec<Finding
                         ),
                     );
                 }
-            }
-        }
-    }
-
-    if scope.panic {
-        for (k, t) in code.iter().enumerate() {
-            if t.is_punct('.')
-                && code
-                    .get(k + 1)
-                    .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"))
-                && code.get(k + 2).is_some_and(|t| t.is_punct('('))
-            {
-                let callee = code[k + 1];
-                report(
-                    "panic",
-                    callee.line,
-                    format!(".{}() can panic on the request path", callee.text),
-                );
-            }
-            // Index expressions: `[` directly after a value-producing
-            // token (identifier, `)`, or `]`). Attributes (`#[...]`),
-            // array literals/types and macro bangs (`vec![`) are not
-            // preceded by such tokens.
-            if t.is_punct('[')
-                && k > 0
-                && code.get(k - 1).is_some_and(|p| {
-                    p.kind == TokenKind::Ident || p.is_punct(')') || p.is_punct(']')
-                })
-            {
-                report(
-                    "panic",
-                    t.line,
-                    "slice/array indexing can panic on the request path; use .get() or annotate"
-                        .to_owned(),
-                );
             }
         }
     }
@@ -360,28 +256,35 @@ pub fn lint_source_scoped(path: &str, source: &str, scope: Scope) -> Vec<Finding
     }
 
     findings.sort_by_key(|f| (f.line, f.rule));
-    findings
+    (findings, allowed)
 }
 
-/// Public entry for the ast engine: parses a file's `lint: allow(...)`
-/// annotations. Returns rule → covered lines, plus `bad_annotation`
-/// findings for malformed ones.
-pub fn annotations_of(
-    path: &str,
-    source: &str,
-) -> (BTreeMap<&'static str, Vec<u32>>, Vec<Finding>) {
+/// One file's annotations: rule → covered lines.
+pub type Annotations = BTreeMap<&'static str, Vec<u32>>;
+
+/// Per-file annotations of the workspace, keyed by path.
+pub type Allowed = BTreeMap<String, Annotations>;
+
+/// Parses a file's `lint: allow(...)` annotations. Returns rule →
+/// covered lines, plus `bad_annotation` findings for malformed ones.
+pub fn annotations_of(path: &str, source: &str) -> (Annotations, Vec<Finding>) {
     collect_annotations(path, &lex(source))
+}
+
+/// Whether an `allow(rule, ..)` annotation covers `path:line`.
+pub fn is_allowed(allowed: &Allowed, path: &str, rule: &str, line: u32) -> bool {
+    allowed
+        .get(path)
+        .and_then(|rules| rules.get(rule))
+        .is_some_and(|lines| lines.contains(&line))
 }
 
 /// Parses `lint: allow(rule, reason)` annotations out of line comments.
 /// Returns the per-rule set of covered lines plus findings for
 /// malformed annotations. An annotation on line `L` covers `L` and the
 /// next line holding a non-comment token.
-fn collect_annotations<'a>(
-    path: &str,
-    tokens: &[Token<'a>],
-) -> (BTreeMap<&'static str, Vec<u32>>, Vec<Finding>) {
-    let mut allowed: BTreeMap<&'static str, Vec<u32>> = BTreeMap::new();
+fn collect_annotations(path: &str, tokens: &[Token<'_>]) -> (Annotations, Vec<Finding>) {
+    let mut allowed = Annotations::new();
     let mut findings = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
         if t.kind != TokenKind::LineComment {
@@ -418,7 +321,7 @@ fn collect_annotations<'a>(
             Some((r, why)) => (r.trim(), why.trim()),
             None => (args.trim(), ""),
         };
-        let Some(rule) = RULE_NAMES.iter().find(|n| **n == rule_txt) else {
+        let Some(rule) = RULES.iter().map(|r| r.name).find(|n| *n == rule_txt) else {
             bad(format!(
                 "unknown lint rule `{rule_txt}` in allow annotation"
             ));
@@ -554,14 +457,16 @@ mod tests {
 
     const ALL: Scope = Scope {
         wall_clock: true,
-        unordered_collections: true,
         float_format: true,
-        panic: true,
         forbid_unsafe: false,
     };
 
+    fn findings(path: &str, src: &str, scope: Scope) -> Vec<Finding> {
+        lint_source_scoped(path, src, scope).0
+    }
+
     fn rules_fired(src: &str) -> Vec<&'static str> {
-        lint_source_scoped("fixture.rs", src, ALL)
+        findings("fixture.rs", src, ALL)
             .into_iter()
             .map(|f| f.rule)
             .collect()
@@ -599,18 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn unordered_collections_fires_on_hash_map_and_set() {
-        let src = "use std::collections::HashMap; fn f(s: HashSet<u8>) {}";
-        assert_eq!(
-            rules_fired(src),
-            vec!["unordered_collections", "unordered_collections"]
-        );
-    }
-
-    #[test]
     fn float_format_fires_on_non_roundtrip_exponent() {
         let src = r#"fn f(v: f64) -> String { format!("{v:.3e}") }"#;
-        let f = lint_source_scoped("fixture.rs", src, ALL);
+        let f = findings("fixture.rs", src, ALL);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "float_format");
         assert!(f[0].message.contains(":.3e"), "{}", f[0].message);
@@ -623,36 +519,17 @@ mod tests {
     }
 
     #[test]
-    fn panic_fires_on_unwrap_expect_and_indexing() {
-        let src = "fn f(v: Vec<u8>) -> u8 { v.unwrap(); v.expect(\"x\"); v[0] }";
-        assert_eq!(rules_fired(src), vec!["panic", "panic", "panic"]);
-    }
-
-    #[test]
-    fn panic_ignores_unwrap_or_else_and_safe_brackets() {
-        let src = "fn f() { x.unwrap_or_else(|| 0); let a = [0u8; 4]; let v = vec![1]; }";
-        assert!(rules_fired(src).is_empty());
-    }
-
-    #[test]
-    fn panic_annotation_waives_the_site() {
-        let src =
-            "fn f(v: &[u8]) -> u8 {\n    // lint: allow(panic, index proven in range)\n    v[0]\n}";
-        assert!(rules_fired(src).is_empty());
-    }
-
-    #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); Instant::now(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n    fn f() { SystemTime::now(); Instant::now(); }\n}";
         assert!(rules_fired(src).is_empty());
-        let src = "#[test]\nfn t() { x.unwrap(); }";
+        let src = "#[test]\nfn t() { Instant::now(); }";
         assert!(rules_fired(src).is_empty());
     }
 
     #[test]
     fn code_after_test_item_is_linted_again() {
-        let src = "#[cfg(test)]\nmod tests { fn f() {} }\nfn g() { x.unwrap(); }";
-        assert_eq!(rules_fired(src), vec!["panic"]);
+        let src = "#[cfg(test)]\nmod tests { fn f() {} }\nfn g() { Instant::now(); }";
+        assert_eq!(rules_fired(src), vec!["wall_clock"]);
     }
 
     #[test]
@@ -661,9 +538,9 @@ mod tests {
             forbid_unsafe: true,
             ..ALL
         };
-        let f = lint_source_scoped("crates/x/src/lib.rs", "pub fn f() {}", scope);
+        let f = findings("crates/x/src/lib.rs", "pub fn f() {}", scope);
         assert_eq!(f[0].rule, "forbid_unsafe");
-        let ok = lint_source_scoped(
+        let ok = findings(
             "crates/x/src/lib.rs",
             "#![forbid(unsafe_code)]\npub fn f() {}",
             scope,
@@ -673,13 +550,29 @@ mod tests {
 
     #[test]
     fn bad_annotations_are_findings() {
-        let f = lint_source_scoped("f.rs", "// lint: allow(panic)\nlet x = 1;", ALL);
+        let f = findings("f.rs", "// lint: allow(panic)\nlet x = 1;", ALL);
         assert_eq!(f[0].rule, "bad_annotation");
-        let f = lint_source_scoped("f.rs", "// lint: allow(made_up_rule, why)\n", ALL);
+        let f = findings("f.rs", "// lint: allow(made_up_rule, why)\n", ALL);
         assert_eq!(f[0].rule, "bad_annotation");
         assert!(f[0].message.contains("made_up_rule"));
-        let f = lint_source_scoped("f.rs", "// lint: allowing stuff\n", ALL);
+        let f = findings("f.rs", "// lint: allowing stuff\n", ALL);
         assert_eq!(f[0].rule, "bad_annotation");
+        for rule in RULES {
+            let src = format!("// lint: allow({}, why)\nlet x = 1;", rule.name);
+            let (f, allowed) = lint_source_scoped("f.rs", &src, ALL);
+            assert!(f.is_empty(), "{}: {f:?}", rule.name);
+            assert_eq!(allowed.get(rule.name), Some(&vec![1, 2]), "{}", rule.name);
+        }
+    }
+
+    #[test]
+    fn is_allowed_looks_up_path_rule_and_line() {
+        let (rules, _) = annotations_of("a.rs", "fn f() {}\n// lint: allow(panic, why)\nx[0];");
+        let allowed: Allowed = [("a.rs".to_owned(), rules)].into();
+        assert!(is_allowed(&allowed, "a.rs", "panic", 3));
+        assert!(!is_allowed(&allowed, "a.rs", "panic", 1));
+        assert!(!is_allowed(&allowed, "a.rs", "wall_clock", 3));
+        assert!(!is_allowed(&allowed, "b.rs", "panic", 3));
     }
 
     #[test]
@@ -691,18 +584,16 @@ mod tests {
     #[test]
     fn scope_policy_matches_the_table() {
         let s = scope_of("crates/serve/src/service.rs");
-        assert!(s.panic && s.unordered_collections && s.float_format && s.wall_clock);
+        assert!(s.float_format && s.wall_clock);
         assert!(!s.forbid_unsafe);
-        let s = scope_of("crates/serve/src/bin/oa_cli.rs");
-        assert!(!s.panic, "CLI binaries are not the request path");
+        let s = scope_of("crates/router/src/router.rs");
+        assert!(s.float_format, "the router splices response bytes");
         let s = scope_of("crates/par/src/pool.rs");
-        assert!(s.panic && !s.unordered_collections);
-        let s = scope_of("crates/fault/src/plan.rs");
-        assert!(s.panic, "the fault layer runs on the request path");
+        assert!(s.wall_clock && !s.float_format);
         let s = scope_of("crates/sim/src/lib.rs");
-        assert!(s.forbid_unsafe && s.wall_clock && !s.panic);
+        assert!(s.forbid_unsafe && s.wall_clock && !s.float_format);
         let s = scope_of("crates/bench/src/cache.rs");
-        assert!(s.float_format && !s.panic);
+        assert!(s.float_format && !s.forbid_unsafe);
     }
 
     #[test]

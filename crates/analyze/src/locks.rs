@@ -22,11 +22,16 @@
 //! marks the former via [`Stmt::guard_bind`](crate::ast::Stmt) and
 //! refuses the marking when control flow intervenes, so `match`-arm
 //! temporaries are never over-extended.
+//!
+//! **One walker.** `walk_guards` tracks the live guards of one body
+//! and feeds two consumers: [`lock_graph`] here, and the effect rule
+//! `lock_across_blocking` ([`crate::effects`]). The transitive lock
+//! classes a call may acquire come from the effect summary.
 
-use crate::ast::{Block, CallTarget, Event, StmtPart};
+use crate::ast::{Block, CallSite, CallTarget, Event, StmtPart};
 use crate::callgraph::{CallGraph, TypeEnv};
-use crate::lint::Finding;
-use crate::reachability::Allowed;
+use crate::effects::Effects;
+use crate::lint::{is_allowed, Allowed, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a lock-order edge was observed.
@@ -46,25 +51,6 @@ pub struct EdgeOrigin {
 pub struct LockGraph {
     /// `(held, acquired)` → first observed origin.
     pub edges: BTreeMap<(String, String), EdgeOrigin>,
-}
-
-/// One lock being held during traversal.
-struct Held {
-    class: String,
-    guard_var: Option<String>,
-    stmt_scoped: bool,
-    block_level: usize,
-}
-
-/// Per-function context for the intra-procedural walk.
-struct FnCtx<'g, 'w> {
-    graph: &'g CallGraph<'w>,
-    env: TypeEnv,
-    fn_qual: String,
-    file: String,
-    /// fn node id → classes it may acquire (transitive).
-    may_acquire: &'g [BTreeSet<String>],
-    edges: &'g mut BTreeMap<(String, String), EdgeOrigin>,
 }
 
 /// Classifies a method event as a lock acquisition, returning the lock
@@ -110,160 +96,155 @@ pub(crate) fn acquisition_class(
     }
 }
 
-/// Builds the lock graph for the whole workspace.
-pub fn lock_graph(graph: &CallGraph<'_>) -> LockGraph {
-    // Pass 1: direct acquisitions per fn (for the may-acquire sets).
-    let mut direct: Vec<BTreeSet<String>> = Vec::with_capacity(graph.nodes.len());
+/// One lock guard live at some point of [`walk_guards`].
+pub(crate) struct Held {
+    /// Lock class (see [`acquisition_class`]).
+    pub(crate) class: String,
+    guard_var: Option<String>,
+    stmt_scoped: bool,
+    block_level: usize,
+}
+
+/// What [`walk_guards`] hands its visitor, with the guards live at
+/// that point.
+pub(crate) enum GuardStep<'a> {
+    /// A lock acquisition (not yet among the live guards).
+    Acquire {
+        /// The acquired lock class.
+        class: &'a str,
+        /// 1-based line.
+        line: u32,
+    },
+    /// Any other call.
+    Call(&'a CallSite),
+}
+
+/// Walks the body of node `id` in order, tracking live guards (see
+/// the module doc for their scopes), and calls `visit` at every lock
+/// acquisition and every other call.
+pub(crate) fn walk_guards(
+    graph: &CallGraph<'_>,
+    id: usize,
+    visit: &mut impl FnMut(&[Held], GuardStep<'_>),
+) {
+    let def = graph.def(id);
+    let Some(body) = &def.body else { return };
+    let walk = GuardWalk {
+        graph,
+        env: graph.type_env(id),
+        fn_qual: &def.qual,
+    };
+    walk.block(body, &mut Vec::new(), 0, visit);
+}
+
+/// Per-function context of [`walk_guards`].
+struct GuardWalk<'a, 'w> {
+    graph: &'a CallGraph<'w>,
+    env: &'a TypeEnv,
+    fn_qual: &'a str,
+}
+
+impl GuardWalk<'_, '_> {
+    fn block(
+        &self,
+        block: &Block,
+        held: &mut Vec<Held>,
+        level: usize,
+        visit: &mut impl FnMut(&[Held], GuardStep<'_>),
+    ) {
+        for stmt in &block.stmts {
+            let mut first_acquisition = true;
+            for part in &stmt.parts {
+                match part {
+                    StmtPart::Block(b) => self.block(b, held, level + 1, visit),
+                    StmtPart::Event(Event::DropVar { name, .. }) => {
+                        held.retain(|h| h.guard_var.as_deref() != Some(name));
+                    }
+                    StmtPart::Event(Event::Call(call)) => {
+                        let class = match &call.target {
+                            CallTarget::Method { name, recv } => {
+                                acquisition_class(self.graph, self.env, self.fn_qual, name, recv)
+                            }
+                            _ => None,
+                        };
+                        let Some(class) = class else {
+                            visit(held, GuardStep::Call(call));
+                            continue;
+                        };
+                        visit(
+                            held,
+                            GuardStep::Acquire {
+                                class: &class,
+                                line: call.line,
+                            },
+                        );
+                        let is_guard = stmt.guard_bind.is_some() && first_acquisition;
+                        first_acquisition = false;
+                        held.push(Held {
+                            class,
+                            guard_var: if is_guard {
+                                stmt.guard_bind.clone()
+                            } else {
+                                None
+                            },
+                            stmt_scoped: !is_guard,
+                            block_level: level,
+                        });
+                    }
+                    StmtPart::Event(
+                        Event::Index { .. } | Event::Guard { .. } | Event::Str { .. },
+                    ) => {}
+                }
+            }
+            // Statement temporaries die here (only this level's — an
+            // outer statement still in progress keeps its temporaries).
+            held.retain(|h| !(h.stmt_scoped && h.block_level == level));
+        }
+        held.retain(|h| h.block_level != level);
+    }
+}
+
+/// Builds the lock graph for the whole workspace: `held → acquired`
+/// for every acquisition made while a guard is live, and `held →`
+/// every class a callee may acquire (from `eff`) for every call made
+/// while one is. The first origin observed for an edge is kept.
+pub fn lock_graph(graph: &CallGraph<'_>, eff: &Effects) -> LockGraph {
+    let mut edges: BTreeMap<(String, String), EdgeOrigin> = BTreeMap::new();
     for id in 0..graph.nodes.len() {
-        let mut set = BTreeSet::new();
-        let def = graph.def(id);
-        if let Some(body) = &def.body {
-            let env = graph.type_env(id);
-            body.walk(&mut |_s, ev| {
-                if let Event::Call(call) = ev {
-                    if let CallTarget::Method { name, recv } = &call.target {
-                        if let Some(class) = acquisition_class(graph, &env, &def.qual, name, recv) {
-                            set.insert(class);
+        let fn_qual = &graph.def(id).qual;
+        let file = &graph.file(id).path;
+        let mut record = |from: &str, to: &str, line: u32, via: String| {
+            if from != to {
+                edges
+                    .entry((from.to_owned(), to.to_owned()))
+                    .or_insert(EdgeOrigin {
+                        file: file.clone(),
+                        line,
+                        via,
+                    });
+            }
+        };
+        walk_guards(graph, id, &mut |held, step| match step {
+            GuardStep::Acquire { class, line } => {
+                for h in held {
+                    record(&h.class, class, line, format!("in {fn_qual}"));
+                }
+            }
+            GuardStep::Call(call) if !matches!(call.target, CallTarget::Macro { .. }) => {
+                for e in graph.edges[id].iter().filter(|e| e.line == call.line) {
+                    let callee = &graph.def(e.callee).qual;
+                    for h in held {
+                        for class in &eff.locks[e.callee] {
+                            let via = format!("in {fn_qual} via call to {callee}");
+                            record(&h.class, class, call.line, via);
                         }
                     }
                 }
-            });
-        }
-        direct.push(set);
-    }
-    // Fixpoint: may_acquire = direct ∪ callees' may_acquire.
-    let mut may = direct;
-    loop {
-        let mut changed = false;
-        for id in 0..graph.nodes.len() {
-            let mut add: Vec<String> = Vec::new();
-            for e in &graph.edges[id] {
-                for c in &may[e.callee] {
-                    if !may[id].contains(c) {
-                        add.push(c.clone());
-                    }
-                }
             }
-            if !add.is_empty() {
-                changed = true;
-                may[id].extend(add);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Pass 2: ordered walk with held-set tracking.
-    let mut edges = BTreeMap::new();
-    for id in 0..graph.nodes.len() {
-        let def = graph.def(id);
-        let Some(body) = &def.body else { continue };
-        let mut ctx = FnCtx {
-            graph,
-            env: graph.type_env(id),
-            fn_qual: def.qual.clone(),
-            file: graph.file(id).path.clone(),
-            may_acquire: &may,
-            edges: &mut edges,
-        };
-        let mut held: Vec<Held> = Vec::new();
-        walk_block(&mut ctx, body, &mut held, 0, id);
+            GuardStep::Call(_) => {}
+        });
     }
     LockGraph { edges }
-}
-
-fn walk_block(
-    ctx: &mut FnCtx<'_, '_>,
-    block: &Block,
-    held: &mut Vec<Held>,
-    level: usize,
-    fn_id: usize,
-) {
-    for stmt in &block.stmts {
-        let mut first_acquisition = true;
-        for part in &stmt.parts {
-            match part {
-                StmtPart::Block(b) => walk_block(ctx, b, held, level + 1, fn_id),
-                StmtPart::Event(Event::DropVar { name, .. }) => {
-                    held.retain(|h| h.guard_var.as_deref() != Some(name));
-                }
-                StmtPart::Event(Event::Index { .. } | Event::Guard { .. } | Event::Str { .. }) => {}
-                StmtPart::Event(Event::Call(call)) => match &call.target {
-                    CallTarget::Method { name, recv } => {
-                        if let Some(class) =
-                            acquisition_class(ctx.graph, &ctx.env, &ctx.fn_qual, name, recv)
-                        {
-                            for h in held.iter() {
-                                if h.class != class {
-                                    record_edge(ctx, &h.class, &class, call.line, None);
-                                }
-                            }
-                            let is_guard = stmt.guard_bind.is_some() && first_acquisition;
-                            first_acquisition = false;
-                            held.push(Held {
-                                class,
-                                guard_var: if is_guard {
-                                    stmt.guard_bind.clone()
-                                } else {
-                                    None
-                                },
-                                stmt_scoped: !is_guard,
-                                block_level: level,
-                            });
-                        } else {
-                            callee_edges(ctx, call.line, held, fn_id);
-                        }
-                    }
-                    CallTarget::Free { .. } => {
-                        callee_edges(ctx, call.line, held, fn_id);
-                    }
-                    CallTarget::Macro { .. } => {}
-                },
-            }
-        }
-        // Statement temporaries die here (only this level's — an outer
-        // statement still in progress keeps its temporaries).
-        held.retain(|h| !(h.stmt_scoped && h.block_level == level));
-    }
-    held.retain(|h| h.block_level != level);
-}
-
-/// Records `held → everything a callee may acquire` for every call
-/// made while locks are held. Callees come from the already-resolved
-/// call graph, matched by call-site line.
-fn callee_edges(ctx: &mut FnCtx<'_, '_>, line: u32, held: &[Held], fn_id: usize) {
-    if held.is_empty() {
-        return;
-    }
-    let callees: Vec<usize> = ctx.graph.edges[fn_id]
-        .iter()
-        .filter(|e| e.line == line)
-        .map(|e| e.callee)
-        .collect();
-    for callee in callees {
-        let acquired: Vec<String> = ctx.may_acquire[callee].iter().cloned().collect();
-        let callee_qual = ctx.graph.def(callee).qual.clone();
-        for h in held {
-            for class in &acquired {
-                if &h.class != class {
-                    record_edge(ctx, &h.class, class, line, Some(&callee_qual));
-                }
-            }
-        }
-    }
-}
-
-fn record_edge(ctx: &mut FnCtx<'_, '_>, from: &str, to: &str, line: u32, via_call: Option<&str>) {
-    let key = (from.to_owned(), to.to_owned());
-    let via = match via_call {
-        Some(callee) => format!("in {} via call to {callee}", ctx.fn_qual),
-        None => format!("in {}", ctx.fn_qual),
-    };
-    ctx.edges.entry(key).or_insert(EdgeOrigin {
-        file: ctx.file.clone(),
-        line,
-        via,
-    });
 }
 
 impl LockGraph {
@@ -336,19 +317,15 @@ fn dfs<'a>(
     }
 }
 
-/// Runs the analysis: builds the lock graph, reports each cycle not
-/// waived by a `lock_order` annotation on one of its edges.
-pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
-    let lg = lock_graph(graph);
+/// Reports each cycle of `lg` not waived by a `lock_order` annotation
+/// on one of its edges.
+pub fn check(lg: &LockGraph, allowed: &Allowed) -> Vec<Finding> {
     let mut findings = Vec::new();
     for cycle in lg.cycles() {
         let origins: Vec<&EdgeOrigin> = cycle.iter().filter_map(|key| lg.edges.get(key)).collect();
-        let waived = origins.iter().any(|o| {
-            allowed
-                .get(&o.file)
-                .and_then(|rules| rules.get("lock_order"))
-                .is_some_and(|lines| lines.contains(&o.line))
-        });
+        let waived = origins
+            .iter()
+            .any(|o| is_allowed(allowed, &o.file, "lock_order", o.line));
         if waived {
             continue;
         }
@@ -392,10 +369,8 @@ mod tests {
             let (rules, _) = crate::lint::annotations_of(path, src);
             allowed.insert(path.clone(), rules);
         }
-        let f = check(&graph, &allowed);
-        let ws2 = Workspace::parse(&inputs);
-        let graph2 = CallGraph::build(&ws2);
-        (f, lock_graph(&graph2))
+        let lg = lock_graph(&graph, &crate::effects::summarize(&graph).effects);
+        (check(&lg, &allowed), lg)
     }
 
     const PAIR: &str = "pub struct Pair { a: Mutex<u32>, b: Mutex<u32> }\n";

@@ -1,10 +1,9 @@
 //! Determinism taint: dataflow from unordered-collection iteration to
 //! serialization sinks.
 //!
-//! The token-level rule banned `HashMap`/`HashSet` *mentions* in
-//! serialization-adjacent crates wholesale. This analysis tracks the
-//! actual hazard: a value derived from `HashMap`/`HashSet` *iteration
-//! order* reaching bytes a client can observe. Sources are iteration
+//! The hazard is a value derived from `HashMap`/`HashSet` *iteration
+//! order* reaching bytes a client can observe; a map used only for
+//! lookups is fine anywhere. Sources are iteration
 //! methods (`iter`, `keys`, `values`, `drain`, …) on receivers whose
 //! type resolves to an unordered collection, and `for`-loops over
 //! them; sinks are formatting macros (`format!`, `write!`, …) and
@@ -16,15 +15,14 @@
 //! statement taints the statement's bindings. Interprocedural flows go
 //! through per-function summaries (does it *introduce* taint to its
 //! return value, *pass* input taint to its return value, or *sink* its
-//! inputs?) computed to fixpoint, so a helper that formats a map leaks
-//! through two call layers. Each finding prints the source → sink flow
-//! chain. A `determinism` annotation on the source or sink line waives
-//! that flow.
+//! inputs?) settled by the summary fixpoint of [`crate::effects`], so
+//! a helper that formats a map leaks through two call layers. Each
+//! finding prints the source → sink flow chain. A `determinism`
+//! annotation on the source or sink line waives that flow.
 
 use crate::ast::{is_unordered_collection, type_head, Block, CallTarget, Event, StmtPart};
 use crate::callgraph::{CallGraph, TypeEnv};
-use crate::lint::Finding;
-use crate::reachability::Allowed;
+use crate::lint::{is_allowed, Allowed, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Iteration methods whose order is the hazard.
@@ -86,38 +84,42 @@ struct Summary {
     sinks_inputs: Option<(String, u32)>,
 }
 
-/// Runs the analysis over the whole workspace.
-pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
-    let mut summaries: Vec<Summary> = vec![Summary::default(); graph.nodes.len()];
-    // Monotone fixpoint (flags only flip false→true; sites only fill).
-    for _round in 0..8 {
-        let mut changed = false;
-        for id in 0..graph.nodes.len() {
-            let (summary, _) = analyze_fn(graph, id, &summaries);
-            if summary != summaries[id] {
-                summaries[id] = summary;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
+/// Every function's taint summary, plus the flows its body exposes
+/// under the current callee summaries.
+pub struct TaintSummaries {
+    summaries: Vec<Summary>,
+    flows: Vec<Vec<Flow>>,
+}
+
+impl TaintSummaries {
+    /// Empty summaries for `n` call-graph nodes.
+    pub(crate) fn new(n: usize) -> TaintSummaries {
+        TaintSummaries {
+            summaries: vec![Summary::default(); n],
+            flows: std::iter::repeat_with(Vec::new).take(n).collect(),
         }
     }
-    // Final pass: collect findings.
-    let mut findings = Vec::new();
-    let mut seen = BTreeSet::new();
-    for id in 0..graph.nodes.len() {
-        let (_, flows) = analyze_fn(graph, id, &summaries);
-        for flow in flows {
-            let src_allowed = allowed
-                .get(&flow.src_file)
-                .and_then(|r| r.get("determinism"))
-                .is_some_and(|l| l.contains(&flow.src_line));
-            let sink_allowed = allowed
-                .get(&flow.sink_file)
-                .and_then(|r| r.get("determinism"))
-                .is_some_and(|l| l.contains(&flow.sink_line));
-            if src_allowed || sink_allowed {
+
+    /// Re-scans node `id` under the current callee summaries; returns
+    /// whether its summary changed. Once a whole round changes nothing,
+    /// every node's flows are those of the final summaries.
+    pub(crate) fn update(&mut self, graph: &CallGraph<'_>, id: usize) -> bool {
+        let (summary, flows) = analyze_fn(graph, id, &self.summaries);
+        self.flows[id] = flows;
+        let changed = summary != self.summaries[id];
+        self.summaries[id] = summary;
+        changed
+    }
+
+    /// Reports every flow not waived by a `determinism` annotation at
+    /// its source or sink, once per `(sink, source line)`.
+    pub fn check(&self, allowed: &Allowed) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        let mut seen = BTreeSet::new();
+        for flow in self.flows.iter().flatten() {
+            if is_allowed(allowed, &flow.src_file, "determinism", flow.src_line)
+                || is_allowed(allowed, &flow.sink_file, "determinism", flow.sink_line)
+            {
                 continue;
             }
             if !seen.insert((flow.sink_file.clone(), flow.sink_line, flow.src_line)) {
@@ -141,9 +143,9 @@ pub fn check(graph: &CallGraph<'_>, allowed: &Allowed) -> Vec<Finding> {
                 ),
             });
         }
+        findings.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
+        findings
     }
-    findings.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
-    findings
 }
 
 /// One concrete source→sink flow.
@@ -157,7 +159,7 @@ struct Flow {
 
 struct FnScan<'g, 'w> {
     graph: &'g CallGraph<'w>,
-    env: TypeEnv,
+    env: &'g TypeEnv,
     file: String,
     fn_id: usize,
     summaries: &'g [Summary],
@@ -215,7 +217,7 @@ fn scan_block(scan: &mut FnScan<'_, '_>, block: &Block) {
                 StmtPart::Event(Event::Call(call)) => match &call.target {
                     CallTarget::Method { name, recv } => {
                         if SOURCE_METHODS.contains(&name.as_str()) {
-                            if let Some(ty) = scan.graph.resolve_chain(&scan.env, recv) {
+                            if let Some(ty) = scan.graph.resolve_chain(scan.env, recv) {
                                 if is_unordered_collection(&ty) {
                                     effective.push(Taint {
                                         origin: Origin::Internal {
@@ -233,11 +235,11 @@ fn scan_block(scan: &mut FnScan<'_, '_>, block: &Block) {
                         } else if SINK_METHODS.contains(&name.as_str()) {
                             sinks.push(call.line);
                         } else {
-                            call_effects(scan, call.line, &mut effective, &mut sinks);
+                            call_effects(scan, call.line, &mut effective);
                         }
                     }
                     CallTarget::Free { .. } => {
-                        call_effects(scan, call.line, &mut effective, &mut sinks);
+                        call_effects(scan, call.line, &mut effective);
                     }
                     CallTarget::Macro { name } => {
                         if SINK_MACROS.contains(&name.as_str()) {
@@ -252,7 +254,7 @@ fn scan_block(scan: &mut FnScan<'_, '_>, block: &Block) {
         // and calls included, regardless of token order inside it).
         for sink_line in &sinks {
             for t in &effective {
-                emit_flow(scan, t, &scan.file.clone(), *sink_line);
+                emit_flow(scan, t, scan.file.clone(), *sink_line);
             }
         }
         // Propagate into this statement's bindings; a binding declared
@@ -301,12 +303,7 @@ fn scan_block(scan: &mut FnScan<'_, '_>, block: &Block) {
 /// Applies callee summaries at a call site: callees that introduce
 /// taint add it; callees that sink their inputs fire flows when the
 /// statement carries taint; callees that pass taint keep it flowing.
-fn call_effects(
-    scan: &mut FnScan<'_, '_>,
-    line: u32,
-    effective: &mut Vec<Taint>,
-    _sinks: &mut Vec<u32>,
-) {
+fn call_effects(scan: &mut FnScan<'_, '_>, line: u32, effective: &mut Vec<Taint>) {
     let callees: Vec<usize> = scan.graph.edges[scan.fn_id]
         .iter()
         .filter(|e| e.line == line)
@@ -331,7 +328,7 @@ fn call_effects(
                 .collect();
             for t in &inputs {
                 let hopped = t.hop(line);
-                emit_flow_at(scan, &hopped, sink_file.clone(), *sink_line);
+                emit_flow(scan, &hopped, sink_file.clone(), *sink_line);
             }
         }
         // taints_return: the statement-level propagation below already
@@ -340,11 +337,7 @@ fn call_effects(
     }
 }
 
-fn emit_flow(scan: &mut FnScan<'_, '_>, taint: &Taint, sink_file: &str, sink_line: u32) {
-    emit_flow_at(scan, taint, sink_file.to_owned(), sink_line);
-}
-
-fn emit_flow_at(scan: &mut FnScan<'_, '_>, taint: &Taint, sink_file: String, sink_line: u32) {
+fn emit_flow(scan: &mut FnScan<'_, '_>, taint: &Taint, sink_file: String, sink_line: u32) {
     match &taint.origin {
         Origin::Internal { file, line } => scan.flows.push(Flow {
             src_file: file.clone(),
@@ -378,7 +371,7 @@ mod tests {
             let (rules, _) = crate::lint::annotations_of(path, src);
             allowed.insert(path.clone(), rules);
         }
-        check(&graph, &allowed)
+        crate::effects::summarize(&graph).taint.check(&allowed)
     }
 
     #[test]
