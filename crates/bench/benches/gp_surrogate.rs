@@ -1,6 +1,10 @@
 //! Microbenchmarks of the WL-GP surrogate: training (hyperparameter grid +
 //! Cholesky) and posterior prediction at the paper's data scale (up to 60
-//! observed topologies per run).
+//! observed topologies per run). `wlgp_fit_many` fits the five outputs of
+//! one topology-BO step (objective + four spec constraints) against one
+//! shared factor per grid point; compare it with five `wlgp_fit` rows.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oa_circuit::Topology;
@@ -34,6 +38,24 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fit_many(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wlgp_fit_many");
+    group.sample_size(20);
+    let n = 40usize;
+    let (feats, y) = dataset(n);
+    let feats = Arc::new(feats);
+    let ys: Vec<Vec<f64>> = (0..5)
+        .map(|o| y.iter().map(|v| v * (o + 1) as f64 - o as f64).collect())
+        .collect();
+    group.bench_with_input(BenchmarkId::from_parameter(format!("5x{n}")), &n, |b, _| {
+        b.iter(|| {
+            let gps = WlGp::fit_many(feats.clone(), ys.clone()).expect("fits");
+            std::hint::black_box(gps.len())
+        })
+    });
+    group.finish();
+}
+
 fn bench_predict(c: &mut Criterion) {
     let (feats, y) = dataset(60);
     let gp = WlGp::fit(feats.clone(), y).expect("fits");
@@ -59,5 +81,11 @@ fn bench_gradient(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_fit, bench_predict, bench_gradient);
+criterion_group!(
+    benches,
+    bench_fit,
+    bench_fit_many,
+    bench_predict,
+    bench_gradient
+);
 criterion_main!(benches);

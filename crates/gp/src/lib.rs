@@ -14,6 +14,15 @@
 //! log marginal likelihood over small grids, as the paper prescribes for
 //! `h`.
 //!
+//! The Gram factor of a grid point does not depend on the targets, so
+//! `fit_many` factors each grid point once for several outputs on the same
+//! inputs (objective plus constraints), and [`RbfGrid`] also grows those
+//! factors by one row per new observation. Batched prediction
+//! (`predict_many`) scores many candidates against many models with one
+//! multi-RHS triangular solve per distinct factor. Every path is
+//! bit-identical to fitting and predicting one output and one candidate
+//! at a time.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,6 +47,6 @@ mod train;
 mod wlgp;
 
 pub use error::GpError;
-pub use rbf::{GpRegressor, RbfKernel};
-pub use train::{fit_gram, FittedGram, TargetScaler};
+pub use rbf::{GpRegressor, RbfGrid, RbfKernel};
+pub use train::{FittedGram, TargetScaler};
 pub use wlgp::{WlGp, WlGpHyperparams};

@@ -42,7 +42,7 @@ mod lu;
 mod matrix;
 mod sparse;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{column_dots, column_sq_norms, Cholesky};
 pub use complex::Complex;
 pub use eigen::{symmetric_top_eigenpairs, EigenPair};
 pub use error::LinalgError;

@@ -2,13 +2,15 @@
 # Smoke test for the performance benches that back the tracked snapshot
 # files at the repository root:
 #
-#   1. run the `ac_sweep` and `evals_per_sec` benches in quick mode
-#      (CRITERION_QUICK=1, ~10x shorter measurement windows) and assert
-#      every expected row is present — a panic or a silently dropped
-#      bench function fails the step;
+#   1. run the `ac_sweep`, `evals_per_sec`, `sizing_bo` and
+#      `gp_surrogate` benches in quick mode (CRITERION_QUICK=1, ~10x
+#      shorter measurement windows) and assert every expected row is
+#      present — a panic or a silently dropped bench function fails the
+#      step;
 #   2. check the committed BENCH_ac_sweep.json / BENCH_evals_per_sec.json
-#      snapshots still carry the keys the benches emit, so a bench rename
-#      cannot drift away from the recorded numbers unnoticed;
+#      / BENCH_sizing_bo.json snapshots still carry the keys the benches
+#      emit, so a bench rename cannot drift away from the recorded
+#      numbers unnoticed;
 #   3. run `oa_lint --timings` and assert the stderr timing
 #      line still parses (files/fns/edges/discharged plus the
 #      per-pass parse_ms/callgraph_ms/ranges_ms/effects_ms/wire_ms and
@@ -62,6 +64,14 @@ run_bench ac_sweep \
 run_bench evals_per_sec \
     eval_full_cached \
     eval_full_uncached
+run_bench sizing_bo \
+    sizing_bo/5+5 \
+    sizing_bo/10+30
+run_bench gp_surrogate \
+    wlgp_fit/20 \
+    wlgp_fit/40 \
+    wlgp_fit/60 \
+    wlgp_fit_many/5x40
 
 check_snapshot BENCH_ac_sweep.json \
     ac_sweep_naive_241pts \
@@ -73,6 +83,15 @@ check_snapshot BENCH_evals_per_sec.json \
     eval_full_cached \
     eval_full_uncached \
     evals_per_sec
+check_snapshot BENCH_sizing_bo.json \
+    sizing_bo/5+5 \
+    sizing_bo/10+30 \
+    wlgp_fit/20 \
+    wlgp_fit/40 \
+    wlgp_fit/60 \
+    wlgp_fit_many/5x40 \
+    parent_ns_per_iter \
+    speedup_over_parent
 
 echo "running oa_lint --timings (timing-line schema)"
 cargo run -q -p oa-analyze --bin oa_lint -- --timings \
